@@ -291,10 +291,12 @@ def run_planner_bench(
 
     ``specs`` are :func:`~repro.core.gossip.resolve_network` strings
     (``"family:n"``).  For each network the exhaustive and pruned
-    minimum-depth constructions are timed (best of ``repeats``), the
-    resulting trees compared field-for-field, and the cold end-to-end
-    plan (:func:`~repro.core.gossip.gossip` with the fast path) timed
-    best-of-``max(2, repeats)`` — a single run is too noisy to gate on.
+    minimum-depth constructions are timed, the resulting trees compared
+    field-for-field, and the cold end-to-end plan
+    (:func:`~repro.core.gossip.gossip` with the fast path) timed.  The
+    exhaustive sweep is best of ``repeats``; the pruned sweep and the cold
+    plan alternate for best of ``max(5, repeats)`` each, since their ratio
+    is gated and a single run is too noisy to gate on.
     Unless ``schedule_identity=False``, the all-families array-vs-seed
     schedule sweep (:func:`_schedule_identity_sweep`) runs too.
     """
@@ -309,9 +311,17 @@ def run_planner_bench(
         exhaustive_s, ref_tree = _best_of(
             lambda: minimum_depth_spanning_tree(graph, method="exhaustive"), repeats
         )
-        pruned_s, fast_tree = _best_of(
-            lambda: minimum_depth_spanning_tree(graph, method="pruned"), repeats
-        )
+        # The cold plan and the pruned sweep it is gated against are timed
+        # in alternation, so a burst of host load lands on both sides of
+        # the ratio rather than on the cold plan alone.
+        pruned_s = plan_cold_s = float("inf")
+        for _ in range(max(5, repeats)):
+            once_s, fast_tree = _best_of(
+                lambda: minimum_depth_spanning_tree(graph, method="pruned"), 1
+            )
+            pruned_s = min(pruned_s, once_s)
+            once_s, _ = _best_of(lambda: gossip(graph, algorithm=algorithm), 1)
+            plan_cold_s = min(plan_cold_s, once_s)
         identical = (
             fast_tree == ref_tree
             and fast_tree.root == ref_tree.root
@@ -320,9 +330,6 @@ def run_planner_bench(
                 fast_tree.children(v) == ref_tree.children(v)
                 for v in range(fast_tree.n)
             )
-        )
-        plan_cold_s, _ = _best_of(
-            lambda: gossip(graph, algorithm=algorithm), max(2, repeats)
         )
         family = spec.partition(":")[0]
         cells.append(

@@ -9,8 +9,8 @@ Two prongs, one discipline (see ``docs/ALGORITHM.md`` §21):
   reachability properties; :mod:`repro.check.replay` pins the model to
   the real code by replaying recorded runtime transcripts through it.
 * :mod:`repro.check.codelint` — the repository's AST conventions lint
-  (promoted from ``scripts/check_conventions.py``) plus concurrency
-  dataflow rules for the service/runtime layers.
+  (``python -m repro.check.codelint``) plus concurrency dataflow rules
+  for the service/runtime layers.
 """
 
 from __future__ import annotations

@@ -1,15 +1,15 @@
 """AST conventions + concurrency lint for ``src/repro`` (stdlib only).
 
-The repository's conventions gate, promoted from
-``scripts/check_conventions.py`` (which remains as a thin shim).  The
-original seven rules are unchanged:
+The repository's conventions gate: ``python -m repro.check.codelint
+[paths...]`` (or ``python -m repro.cli lint --code``) checks
+``src/repro`` or the given files/directories, prints one
+``file:line: message`` per violation, and exits 1 on any.  The original
+seven rules:
 
 1. **Typed exceptions** — every ``raise SomeException(...)`` must use an
    exception defined by the library (all of which derive from
-   ``ReproError``), never a bare builtin.  ``TypeError`` is allowlisted:
-   the deprecated-positional-call shims in ``repro.core.gossip``
-   deliberately mirror Python's own signature errors.  Bare ``raise``
-   re-raises are always fine.
+   ``ReproError``), never a bare builtin.  Bare ``raise`` re-raises are
+   always fine.
 2. **No ``bin(x).count("1")``** — popcounts use ``int.bit_count()``.
 3. **Keyword-only public API calls** — calls to ``gossip`` /
    ``gossip_on_tree`` pass at most one positional argument and
@@ -75,9 +75,6 @@ __all__ = [
     "main",
     "tracked_artifact_violations",
 ]
-
-#: Builtin exception raises that stay legal in library code.
-ALLOWED_BUILTIN_RAISES = {"TypeError"}
 
 #: Public API callables whose calls must be keyword-only past the first
 #: positional argument (functions) or past zero (methods).
@@ -617,7 +614,7 @@ def check_file(path: pathlib.Path) -> Iterator[Violation]:
             yield from _process_violations(path, node)
         if isinstance(node, ast.Raise):
             name = _raised_name(node)
-            if name in BUILTIN_EXCEPTIONS and name not in ALLOWED_BUILTIN_RAISES:
+            if name in BUILTIN_EXCEPTIONS:
                 yield (
                     path,
                     node.lineno,
@@ -641,9 +638,10 @@ def collect_violations(roots: List[pathlib.Path]) -> List[Violation]:
 
 
 def main(argv: List[str]) -> int:
-    roots = [pathlib.Path(a) for a in argv] or [pathlib.Path("src/repro")]
-    violations = collect_violations(roots)
-    violations.extend(tracked_artifact_violations())
+    """Lint ``argv`` (default: this package), print violations, exit code."""
+    package = pathlib.Path(__file__).resolve().parents[1]
+    violations = collect_violations([pathlib.Path(a) for a in argv] or [package])
+    violations.extend(tracked_artifact_violations(package.parents[1]))
     for path, line, message in violations:
         print(f"{path}:{line}: {message}")
     if violations:

@@ -1047,25 +1047,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     from .lint import lint_schedule
 
     if args.code:
-        import pathlib
+        from .check.codelint import main as codelint_main
 
-        from .check.codelint import (
-            collect_violations,
-            tracked_artifact_violations,
-        )
-
-        package_root = pathlib.Path(__file__).resolve().parent
-        violations = collect_violations([package_root])
-        violations.extend(
-            tracked_artifact_violations(package_root.parents[1])
-        )
-        for path, line, message in violations:
-            print(f"{path}:{line}: {message}")
-        if violations:
-            print(f"\n{len(violations)} convention violation(s)")
-            return 1
-        print("conventions: OK")
-        return 0
+        return codelint_main([])
 
     if args.all:
         specs = [f"{fam}:{args.n}" for fam in sorted(FAMILIES)]

@@ -68,7 +68,7 @@ def concurrent_updown_no_lip(labeled: LabeledTree) -> Schedule:
         itself internal (every interesting tree), because the lookahead's
         arrival now lands on a busy receive slot.
     """
-    up = ScheduleBuilder._load(propagate_up_no_lip(labeled))
+    up = ScheduleBuilder.from_schedule(propagate_up_no_lip(labeled))
     down = propagate_down_builder(labeled)
     return up.merge(down).build(name="ConcurrentUpDown-no-lip")
 

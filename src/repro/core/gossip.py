@@ -18,13 +18,12 @@ maps them back to vertices.
 API conventions
 ---------------
 Everything after the first positional argument is **keyword-only**:
-``gossip(g, algorithm="simple")``, ``plan.execute(on_tree_only=True)``.
-Old positional call sites keep working for now behind a
-``DeprecationWarning`` shim.  The first argument of :func:`gossip` is a
-*network spec* resolved by :func:`resolve_network` — a
-:class:`~repro.networks.graph.Graph`, a :class:`~repro.tree.tree.Tree`
-(scheduling happens on exactly that tree), or a topology-family string
-such as ``"grid"`` or ``"grid:64"``.
+``gossip(g, algorithm="simple")``, ``plan.execute(on_tree_only=True)``;
+a positional call gets Python's own ``TypeError``.  The first argument
+of :func:`gossip` is a *network spec* resolved by
+:func:`resolve_network` — a :class:`~repro.networks.graph.Graph`, a
+:class:`~repro.tree.tree.Tree` (scheduling happens on exactly that
+tree), or a topology-family string such as ``"grid"`` or ``"grid:64"``.
 
 The algorithm registry :data:`ALGORITHMS` is populated **eagerly**: the
 built-in algorithm modules register themselves via
@@ -34,7 +33,6 @@ registry is always complete by the time any public entry point runs.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple, Union
 
@@ -81,22 +79,6 @@ def register_algorithm(name: str) -> Callable:
         return fn
 
     return wrap
-
-
-def _populate_registry() -> None:
-    """Deprecated back-compat shim; registration is eager now.
-
-    Importing :mod:`repro.core` (which importing *this* module already
-    triggers) runs every built-in algorithm module's
-    :func:`register_algorithm` decorator, so there is nothing left to
-    populate.  Kept only so stale external callers don't crash.
-    """
-    warnings.warn(
-        "_populate_registry() is obsolete: ALGORITHMS is registered eagerly "
-        "at `import repro.core`",
-        DeprecationWarning,
-        stacklevel=2,
-    )
 
 
 def resolve_network(
@@ -146,15 +128,6 @@ def resolve_network(
     raise ReproError(
         f"cannot interpret {network!r} as a network "
         "(want a Graph, a Tree, or a topology-family string)"
-    )
-
-
-def _warn_positional(what: str) -> None:
-    warnings.warn(
-        f"positional arguments to {what} beyond the first are deprecated; "
-        "pass them as keywords",
-        DeprecationWarning,
-        stacklevel=3,
     )
 
 
@@ -219,7 +192,7 @@ class GossipPlan:
 
     def execute(
         self,
-        *args: object,
+        *,
         record_arrivals: bool = False,
         on_tree_only: bool = False,
     ) -> "ExecutionResult":
@@ -237,15 +210,6 @@ class GossipPlan:
             full network — a stricter check, since the paper's algorithms
             only ever use tree edges.
         """
-        if args:
-            _warn_positional("GossipPlan.execute()")
-            record_arrivals = bool(args[0])
-            if len(args) > 1:
-                on_tree_only = bool(args[1])
-            if len(args) > 2:
-                raise TypeError(
-                    f"execute() takes at most 2 optional arguments ({len(args)} given)"
-                )
         is_default = not record_arrivals and not on_tree_only
         if is_default and self._default_execution is not None:
             return self._default_execution
@@ -279,7 +243,7 @@ class GossipPlan:
 
 def gossip(
     graph: NetworkSpec,
-    *args,
+    *,
     algorithm: str = "concurrent-updown",
     tree: Optional[Tree] = None,
 ) -> GossipPlan:
@@ -299,17 +263,6 @@ def gossip(
         by default the minimum-depth spanning tree is built, making the
         schedule at most ``n + radius`` rounds long.  Keyword-only.
     """
-    if args:
-        _warn_positional("gossip()")
-        algorithm = args[0]
-        if len(args) > 1:
-            tree = args[1]
-        if len(args) > 2:
-            # The graph itself is the 1st positional argument, so the
-            # caller passed 1 + len(args) in total.
-            raise TypeError(
-                f"gossip() takes at most 3 positional arguments ({1 + len(args)} given)"
-            )
     graph, tree = resolve_network(graph, tree=tree)
     if algorithm not in ALGORITHMS:
         raise ReproError(
@@ -325,16 +278,6 @@ def gossip(
     )
 
 
-def gossip_on_tree(tree: Tree, *args, algorithm: str = "concurrent-updown") -> GossipPlan:
+def gossip_on_tree(tree: Tree, *, algorithm: str = "concurrent-updown") -> GossipPlan:
     """Solve gossiping directly on a tree network."""
-    if args:
-        _warn_positional("gossip_on_tree()")
-        algorithm = args[0]
-        if len(args) > 1:
-            # The tree is the 1st positional argument, so the caller
-            # passed 1 + len(args) in total.
-            raise TypeError(
-                f"gossip_on_tree() takes at most 2 positional arguments "
-                f"({1 + len(args)} given)"
-            )
     return gossip(tree_to_graph(tree), algorithm=algorithm, tree=tree)

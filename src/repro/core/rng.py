@@ -1,24 +1,22 @@
-"""Seeded splitmix64 randomness for the randomized gossip baselines.
+"""Seeded splitmix64 randomness: the library's one source of draws.
 
-The epidemic (:mod:`repro.core.epidemic`) and network-coded
-(:mod:`repro.core.coded`) protocols are *randomized* algorithms, but the
-repository's reproducibility contract is absolute: every run must be a
-pure function of its seed.  This module provides the only randomness
-source those protocols are allowed to use (enforced by
-``scripts/check_conventions.py`` rule 6 — ``random.*`` and
-``numpy.random`` are banned there), built on the **same splitmix64
-finaliser and golden-ratio increment** as the fault model in
-:mod:`repro.simulator.lossy`, so one seed governs both the protocol's
-coin flips and the faults injected into it without the two streams ever
-colliding (they are domain-separated by tag).
+Every randomized decision in the repository must be a pure function of
+its seed.  This module is the only randomness source allowed
+(:mod:`repro.check.codelint` bans ``random.*`` and ``numpy.random``):
+the randomized gossip baselines (:mod:`repro.core.epidemic`,
+:mod:`repro.core.coded`), the runtime fault model
+(:mod:`repro.simulator.lossy`) and the real-network runtime's loss,
+delay and back-off draws all use it.  One seed can therefore govern a
+protocol's coin flips and the faults injected into it without the two
+streams ever colliding (they are domain-separated by tag).
 
 Two access patterns are offered:
 
 * :func:`keyed_uniform` / :func:`keyed_u64` — stateless draws keyed by
-  ``(seed, tag, *coords)``, exactly like
-  ``repro.simulator.lossy._uniform``: iteration-order independent, so a
-  protocol that asks "what does vertex ``v`` do in round ``t``?" gets
-  the same answer no matter who asks first;
+  ``(seed, tag, *coords)``: iteration-order independent, so a protocol
+  that asks "what does vertex ``v`` do in round ``t``?" gets the same
+  answer no matter who asks first.  :func:`keyed_uniform_array` is the
+  same draw over numpy coordinate columns, bit for bit;
 * :class:`SplitMix64` — a sequential stream (the classic splitmix64
   generator) for draws that have no natural coordinates, forked off a
   keyed root so substreams stay independent.
@@ -28,6 +26,8 @@ from __future__ import annotations
 
 from typing import List, Sequence, TypeVar
 
+import numpy as np
+
 from ..exceptions import ReproError
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
     "mix64",
     "keyed_u64",
     "keyed_uniform",
+    "keyed_uniform_array",
     "SplitMix64",
 ]
 
@@ -45,7 +46,7 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 
 def mix64(x: int) -> int:
-    """splitmix64 finaliser — identical to ``repro.simulator.lossy._mix64``."""
+    """splitmix64 finaliser — a high-quality 64-bit avalanche."""
     x = (x + _GOLDEN) & MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
@@ -71,6 +72,27 @@ def keyed_uniform(seed: int, tag: int, *coords: int) -> float:
     return keyed_u64(seed, tag, *coords) / 2.0**64
 
 
+def _mix64_array(x: np.ndarray) -> np.ndarray:
+    """:func:`mix64` on a uint64 array (numpy arithmetic wraps mod 2**64)."""
+    x = x + np.uint64(_GOLDEN)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def keyed_uniform_array(seed: int, tag: int, *coords: np.ndarray) -> np.ndarray:
+    """:func:`keyed_uniform` over equal-length integer coordinate columns.
+
+    Entry ``i`` equals ``keyed_uniform(seed, tag, coords[0][i], ...)``.
+    """
+    root = np.uint64(mix64(mix64(seed & MASK64) ^ tag))
+    h = np.full(len(coords[0]), root, dtype=np.uint64)
+    for c in coords:
+        step = (np.asarray(c, dtype=np.int64).astype(np.uint64) + np.uint64(1)) * np.uint64(_GOLDEN)
+        h = _mix64_array(h ^ step)
+    return h.astype(np.float64) / 2.0**64
+
+
 class SplitMix64:
     """The classic sequential splitmix64 generator.
 
@@ -88,11 +110,9 @@ class SplitMix64:
 
     def next_u64(self) -> int:
         """The next 64-bit output word."""
-        self._state = (self._state + _GOLDEN) & MASK64
         x = self._state
-        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
-        return x ^ (x >> 31)
+        self._state = (x + _GOLDEN) & MASK64
+        return mix64(x)
 
     def uniform(self) -> float:
         """Uniform draw in ``[0, 1)``."""

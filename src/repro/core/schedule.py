@@ -38,7 +38,6 @@ and :mod:`repro.lint`.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -491,6 +490,12 @@ class ArraySchedule:
             raise ScheduleError(
                 "array schedule has a negative round or an out-of-range sender"
             )
+        if np.any(msg < 0):
+            e = int(np.flatnonzero(msg < 0)[0])
+            raise ScheduleError(
+                f"transmission from {int(snd[e])} at time {int(rnd[e])} has "
+                f"negative message id {int(msg[e])}"
+            )
         key_sorted = np.all(
             (rnd[:-1] < rnd[1:])
             | ((rnd[:-1] == rnd[1:]) & (snd[:-1] < snd[1:]))
@@ -510,7 +515,7 @@ class ArraySchedule:
 
     def _validate_masks(self) -> None:
         """Mask-level checks: no self-sends, Rule 1 receiver disjointness."""
-        rnd, snd, msg = self.round, self.sender, self.message
+        snd, msg = self.sender, self.message
         masks = self.dest_mask
         pops = self.fan_outs()
         word, bit = _bit_of(snd.astype(np.int64))
@@ -529,15 +534,12 @@ class ArraySchedule:
             union = np.bitwise_or.reduceat(masks, starts, axis=0)
             union_pop = _popcounts(union)
             sum_pop = np.add.reduceat(pops, starts)
-            clash = union_pop != sum_pop
-            if clash.any():
-                g = int(np.flatnonzero(clash)[0])
-                t = int(rnd[starts[g]])
-                # Materialise the offending round: Round() raises the
-                # historical ScheduleConflictError with the exact text.
-                Round(self._transmissions_of_slice(ptr[t], ptr[t + 1]))
+            if np.any(union_pop != sum_pop):
+                # Materialise the rounds: the first colliding Round() raises
+                # the historical ScheduleConflictError with the exact text.
+                self.build_rounds()
                 raise ScheduleConflictError(  # pragma: no cover — Round raises
-                    f"round {t} has a receiver collision"
+                    "array schedule has a receiver collision"
                 )
 
     # ------------------------------------------------------------------
@@ -595,16 +597,23 @@ class ArraySchedule:
         """Flattened ``(transmission row, destination)`` delivery pairs.
 
         Rows appear in transmission order, destinations ascending — the
-        vectorised expansion of every multicast into unicasts.
+        vectorised expansion of every multicast into unicasts.  Works on
+        the non-zero mask words only, peeling one lowest set bit per word
+        per pass, so the cost follows the deliveries, not ``E x n``.
         """
-        if len(self.round) == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty
-        bits = np.unpackbits(
-            self.dest_mask.view(np.uint8), axis=1, bitorder="little"
-        )
-        row, dest = np.nonzero(bits)
-        return row.astype(np.int64), dest.astype(np.int64)
+        row, word = np.nonzero(self.dest_mask)
+        bits = self.dest_mask[row, word]
+        counts = np.bitwise_count(bits).astype(np.int64)
+        at = np.cumsum(counts) - counts
+        dest = np.empty(int(counts.sum()), dtype=np.int64)
+        base = word.astype(np.int64) * 64
+        while len(bits):
+            low = bits & (~bits + np.uint64(1))
+            dest[at] = base + np.bitwise_count(low - np.uint64(1))
+            bits = bits ^ low
+            more = bits != 0
+            bits, at, base = bits[more], at[more] + 1, base[more]
+        return np.repeat(row.astype(np.int64), counts), dest
 
     def widen(self, n: int, n_messages: Optional[int] = None) -> "ArraySchedule":
         """The same schedule on a larger processor universe.
@@ -657,23 +666,6 @@ class ArraySchedule:
     # ------------------------------------------------------------------
     # Object-view materialisation
     # ------------------------------------------------------------------
-    def _transmissions_of_slice(self, lo: int, hi: int) -> List[Transmission]:
-        """Transmission objects for rows ``lo:hi`` (one round's worth)."""
-        out: List[Transmission] = []
-        senders = self.sender[lo:hi].tolist()
-        messages = self.message[lo:hi].tolist()
-        for e, (s, m) in enumerate(zip(senders, messages)):
-            bits = np.unpackbits(
-                self.dest_mask[lo + e].view(np.uint8), bitorder="little"
-            )
-            out.append(
-                Transmission(
-                    sender=s, message=m,
-                    destinations=frozenset(np.flatnonzero(bits).tolist()),
-                )
-            )
-        return out
-
     def build_rounds(self) -> Tuple[Round, ...]:
         """Materialise the full object view (one Round per send time)."""
         total = self.total_time
@@ -1020,27 +1012,7 @@ class ScheduleBuilder:
 
     @staticmethod
     def from_schedule(schedule: Schedule) -> "ScheduleBuilder":
-        """Builder pre-loaded with every event of an existing schedule.
-
-        .. deprecated::
-            Round-tripping an *array-backed* schedule through the builder
-            to modify it is the legacy mutation path; operate on
-            :meth:`Schedule.arrays` (or rebuild through the array
-            pipeline) instead.
-        """
-        if schedule.is_array_backed:
-            warnings.warn(
-                "mutating an array-backed schedule via "
-                "ScheduleBuilder.from_schedule() is deprecated; use "
-                "Schedule.arrays() and the array pipeline instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return ScheduleBuilder._load(schedule)
-
-    @staticmethod
-    def _load(schedule: Schedule) -> "ScheduleBuilder":
-        """Internal non-deprecated loader (object-path algorithms)."""
+        """Builder pre-loaded with every event of an existing schedule."""
         builder = ScheduleBuilder()
         for t, rnd in enumerate(schedule):
             for tx in rnd:
@@ -1072,6 +1044,6 @@ def merge_schedules(first: Schedule, second: Schedule, name: str = "") -> Schedu
             name=name,
         )
         return Schedule.from_arrays(merged)
-    builder = ScheduleBuilder._load(first)
-    builder.merge(ScheduleBuilder._load(second))
+    builder = ScheduleBuilder.from_schedule(first)
+    builder.merge(ScheduleBuilder.from_schedule(second))
     return builder.build(name=name)

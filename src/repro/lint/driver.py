@@ -1,24 +1,22 @@
 """The static analysis driver: :func:`lint_schedule`.
 
-The driver never executes a schedule.  Instead it propagates *abstract
-possession sets* — one integer bitmask per processor — through the
-rounds in a single chronological pass.  This is sound **and exact** for
-the multicasting model because possession is monotone (processors never
-forget a message) and delivery timing is deterministic: a message sent
-in round ``t`` is held by its destinations from time ``t + 1`` on, and
-the model's receive-before-send rule means round ``t``'s sends see
-exactly the deliveries of rounds ``< t``.  Landing round ``t - 1``'s
-deliveries before checking round ``t``'s sends therefore reproduces the
-engine's possession judgement bit for bit — without importing the
-engine (the differential tests in ``tests/lint`` prove both claims).
+The driver reads one run of the possession kernel
+(:func:`repro.core.possession.propagate`) as diagnostics, without
+importing the engine.  Possession is monotone and delivery timing
+deterministic — round ``t``'s sends see exactly the deliveries of
+rounds ``< t`` — so the kernel's not-held verdict is the engine's
+possession judgement bit for bit (the differential tests in
+``tests/lint`` prove both claims).  Unlike the engine the run never
+stops: every delivery whose destination and message are in range lands,
+so one pass reports every finding.  The rules are reductions over the
+kernel's per-row and per-delivery outcome codes and the schedule's
+columns; the idle-sender lint reads the hold matrix before each round.
 
 The driver accepts a :class:`~repro.core.schedule.Schedule`, a bare
-:class:`~repro.core.schedule.ArraySchedule` (the canonical array form —
-normalised through the lazy object-view facade), or a raw sequence of
-rounds (each an iterable of
-:class:`~repro.core.schedule.Transmission`).  Raw input matters: the
-``Round`` constructor already rejects same-round sender/receiver
-collisions, so only raw rounds can reach the
+:class:`~repro.core.schedule.ArraySchedule`, or a raw sequence of
+rounds (each an iterable of :class:`~repro.core.schedule.Transmission`).
+Raw input matters: the ``Round`` constructor already rejects same-round
+sender/receiver collisions, so only raw rounds can reach the
 ``model/sender-collision`` / ``model/receiver-collision`` rules — which
 is exactly how the test suite proves the lint layer agrees with the
 constructors' conflict checks.
@@ -26,19 +24,22 @@ constructors' conflict checks.
 
 from __future__ import annotations
 
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from ..core.gossip import GossipPlan
+from ..core.possession import (
+    COLLISION,
+    NON_EDGE,
+    NOT_HELD,
+    RANGE,
+    REDUNDANT,
+    Columns,
+    PackedHoldState,
+    columns_of,
+    propagate,
+)
 from ..core.schedule import ArraySchedule, Round, Schedule, Transmission
 from ..exceptions import (
     IncompleteGossipError,
@@ -82,27 +83,6 @@ def diagnostic_exception(diag: Diagnostic) -> ScheduleError:
     """
     exc_type = _EXCEPTION_OF_RULE.get(diag.rule, ScheduleError)
     return exc_type(diag.message)
-
-
-def _normalize(schedule: ScheduleLike) -> Tuple[Tuple[Transmission, ...], ...]:
-    """Flatten a schedule-like object into tuples of transmissions."""
-    if isinstance(schedule, ArraySchedule):
-        return tuple(rnd.transmissions for rnd in schedule.build_rounds())
-    if isinstance(schedule, Schedule):
-        return tuple(rnd.transmissions for rnd in schedule)
-    out: List[Tuple[Transmission, ...]] = []
-    for rnd in schedule:
-        if isinstance(rnd, Round):
-            out.append(rnd.transmissions)
-        else:
-            txs = tuple(rnd)
-            for tx in txs:
-                if not isinstance(tx, Transmission):
-                    raise ReproError(
-                        f"cannot lint {tx!r}: rounds must contain Transmission objects"
-                    )
-            out.append(txs)
-    return tuple(out)
 
 
 def _initial_holds(
@@ -173,7 +153,7 @@ def lint_schedule(
     LintReport
         Every finding of every active rule, in round order.
     """
-    rounds = _normalize(schedule)
+    cols = columns_of(schedule)
     n = graph.n
     n_msgs = int(n_messages) if n_messages is not None else n
 
@@ -193,7 +173,7 @@ def lint_schedule(
     if not require_complete:
         active -= {R.INCOMPLETE_GOSSIP.id}
 
-    ctx = _Pass(graph, rounds, n_msgs, _initial_holds(n, plan, initial_holds), active)
+    ctx = _Pass(graph, cols, n_msgs, _initial_holds(n, plan, initial_holds), active)
     ctx.run()
     if plan is not None and any(R.RULES[r].tier == R.PAPER for r in active):
         ctx.check_paper(plan)
@@ -212,222 +192,209 @@ def lint_schedule(
 
 
 class _Pass:
-    """One abstract-possession propagation pass over the rounds."""
+    """One possession-kernel run over the schedule, read as diagnostics.
+
+    The per-round findings (redundant landings, idle rounds, the model
+    rules of each send, idle senders) are gathered with a sort key
+    ``(round, section, ...)`` and rendered in round order: a round's
+    landings first, then an idle round, then its sends in row order
+    (sender findings, then each destination ascending), then its idle
+    senders.
+    """
 
     def __init__(
         self,
         graph: Graph,
-        rounds: Tuple[Tuple[Transmission, ...], ...],
+        cols: Columns,
         n_messages: int,
         holds: List[int],
         active: FrozenSet[str],
     ) -> None:
         self.graph = graph
-        self.rounds = rounds
+        self.cols = cols
         self.n = graph.n
         self.n_messages = n_messages
-        self.holds = holds
         self.active = active
+        self.holds = PackedHoldState(self.n, initial=holds, n_messages=n_messages)
         self.diagnostics: List[Diagnostic] = []
-        #: per-round receiver sets (who is targeted in round t).
-        self.receivers: List[Set[int]] = []
-        #: per-round sender sets.
-        self.senders: List[Set[int]] = []
-        #: (sender, message) -> [(round, destinations)], for merge lints.
-        self.sends_of: Dict[Tuple[int, int], List[Tuple[int, FrozenSet[int]]]] = {}
-        #: first time each processor held every message (None = never).
-        self.complete_at: List[Optional[int]] = [None] * self.n
-        self._full = (1 << n_messages) - 1
-        self._neighbour_sets: Dict[int, FrozenSet[int]] = {}
-        for v in range(self.n):
-            if holds[v] == self._full:
-                self.complete_at[v] = 0
+        self._keyed: List[Tuple[tuple, Diagnostic]] = []
+        self.ptr = cols.round_ptr
+        #: deliveries of row ``i`` are ``row_pairs[i]:row_pairs[i + 1]``.
+        self.row_pairs = np.searchsorted(cols.pair_row, np.arange(len(cols.round) + 1))
+        self.sender_ok = (cols.sender >= 0) & (cols.sender < self.n)
+        self.message_ok = (cols.message >= 0) & (cols.message < n_messages)
+        self.dest_ok = (cols.pair_dest >= 0) & (cols.pair_dest < self.n)
 
     # ------------------------------------------------------------------
     def emit(
-        self,
-        rule: R.Rule,
-        message: str,
-        *,
-        round: Optional[int] = None,
-        sender: Optional[int] = None,
-        message_id: Optional[int] = None,
-        destination: Optional[int] = None,
+        self, rule: R.Rule, message: str, *, key: Optional[tuple] = None, **locus: Optional[int]
     ) -> None:
-        """Record a finding if the rule is active."""
+        """Record a finding if the rule is active (``key``: a per-round one)."""
         if rule.id not in self.active:
             return
-        self.diagnostics.append(
-            Diagnostic(
-                rule=rule.id,
-                severity=rule.severity,
-                message=message,
-                round=round,
-                sender=sender,
-                message_id=message_id,
-                destination=destination,
-            )
-        )
+        diag = Diagnostic(rule=rule.id, severity=rule.severity, message=message, **locus)  # type: ignore[arg-type]
+        if key is None:
+            self.diagnostics.append(diag)
+        else:
+            self._keyed.append((key, diag))
 
-    def _neighbours(self, v: int) -> FrozenSet[int]:
-        cached = self._neighbour_sets.get(v)
-        if cached is None:
-            cached = self._neighbour_sets[v] = frozenset(self.graph.neighbors(v))
-        return cached
+    def _row(self, i: int) -> Tuple[int, int, int]:
+        cols = self.cols
+        return int(cols.round[i]), int(cols.sender[i]), int(cols.message[i])
 
     # ------------------------------------------------------------------
     def run(self) -> None:
-        """The single chronological pass (model + per-round efficiency)."""
-        pending: List[Tuple[int, int, int, int]] = []  # (dest, msg, sender, round)
-        for t, txs in enumerate(self.rounds):
-            self._land(pending, t)
-            pending = self._check_round(t, txs)
-        self._land(pending, len(self.rounds))
+        """The kernel run plus the model and efficiency tiers."""
+        hook = self._idle_senders if R.IDLE_SENDER.id in self.active else None
+        if hook is not None:
+            # Neighbours in frozenset iteration order: the order in which
+            # the finding has always picked the free neighbour it names.
+            edges = [(v, u) for v in range(self.n) for u in frozenset(self.graph.neighbors(v))]
+            ev, eu = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+            # Per round and edge (v, u): v sends nothing and u receives nothing.
+            cols, rounds = self.cols, self.cols.total_time
+            sending = np.zeros((rounds, self.n), dtype=bool)
+            sending[cols.round[self.sender_ok], cols.sender[self.sender_ok]] = True
+            receiving = np.zeros((rounds, self.n), dtype=bool)
+            ok = self.dest_ok
+            receiving[cols.round[cols.pair_row[ok]], cols.pair_dest[ok]] = True
+            t_free, e_free = np.nonzero(~sending[:, ev] & ~receiving[:, eu])
+            self._free_ptr = np.searchsorted(t_free, np.arange(rounds + 1)).tolist()
+            self._free_v, self._free_u = ev[e_free], eu[e_free]
+            self._silent = (np.diff(self.ptr) == 0).tolist()
+        self.out = propagate(self.cols, self.graph, self.holds, before_send=hook)
+        self._check_redundant()
+        self._check_idle_rounds()
+        self._check_sends()
+        self._keyed.sort(key=lambda kd: kd[0])
+        self.diagnostics.extend(diag for _, diag in self._keyed)
         self._check_completeness()
         self._check_mergeable()
 
-    def _land(self, pending: List[Tuple[int, int, int, int]], now: int) -> None:
-        """Apply the previous round's deliveries (receive-before-send)."""
-        for dest, msg, sender, sent_round in pending:
-            if (self.holds[dest] >> msg) & 1:
-                self.emit(
-                    R.REDUNDANT_DELIVERY,
-                    f"round {sent_round}: processor {sender} delivers message "
-                    f"{msg} to {dest}, which already holds it",
-                    round=sent_round,
-                    sender=sender,
-                    message_id=msg,
-                    destination=dest,
-                )
-            else:
-                self.holds[dest] |= 1 << msg
-                if self.holds[dest] == self._full and self.complete_at[dest] is None:
-                    self.complete_at[dest] = now
+    def _check_redundant(self) -> None:
+        if R.REDUNDANT_DELIVERY.id not in self.active:
+            return
+        cols = self.cols
+        for j in np.flatnonzero(self.out.pair_code & REDUNDANT).tolist():
+            t, s, m = self._row(int(cols.pair_row[j]))
+            d = int(cols.pair_dest[j])
+            self.emit(
+                R.REDUNDANT_DELIVERY,
+                f"round {t}: processor {s} delivers message "
+                f"{m} to {d}, which already holds it",
+                key=(t + 1, 0, j),
+                round=t, sender=s, message_id=m, destination=d,
+            )
 
-    def _check_round(
-        self, t: int, txs: Tuple[Transmission, ...]
-    ) -> List[Tuple[int, int, int, int]]:
-        """Model-check one round's sends; return its pending deliveries."""
-        seen_senders: Dict[int, int] = {}
-        seen_receivers: Dict[int, int] = {}
-        receivers: Set[int] = set()
-        senders: Set[int] = set()
-        pending: List[Tuple[int, int, int, int]] = []
-
-        if not txs and t + 1 < len(self.rounds):
+    def _check_idle_rounds(self) -> None:
+        if R.IDLE_ROUND.id not in self.active:
+            return
+        # Every round but the last: a silent final round is not idle.
+        for t in np.flatnonzero(np.diff(self.ptr)[:-1] == 0).tolist():
             self.emit(
                 R.IDLE_ROUND,
                 f"round {t} performs no communication but later rounds do",
-                round=t,
+                key=(t, 1), round=t,
             )
 
-        for tx in txs:
-            s, m = tx.sender, tx.message
-            sender_ok = 0 <= s < self.n
-            message_ok = 0 <= m < self.n_messages
-            if not sender_ok:
+    def _check_sends(self) -> None:
+        """The model rules of every send, from the kernel's outcome codes."""
+        cols, out = self.cols, self.out
+        for i in np.flatnonzero(out.row_code).tolist():
+            t, s, m = self._row(i)
+            code = int(out.row_code[i])
+            if not self.sender_ok[i]:
                 self.emit(
                     R.VERTEX_RANGE,
                     f"round {t}: sender {s} out of range for n={self.n}",
-                    round=t, sender=s, message_id=m,
+                    key=(t, 2, i, 0), round=t, sender=s, message_id=m,
                 )
-            elif s in seen_senders:
+            elif code & COLLISION:
+                lo = int(self.ptr[t])
+                first = lo + int(np.flatnonzero(cols.sender[lo:i] == s)[0])
                 self.emit(
                     R.SENDER_COLLISION,
                     f"round {t}: processor {s} sends two messages in one round: "
-                    f"{seen_senders[s]} and {m}",
-                    round=t, sender=s, message_id=m,
+                    f"{int(cols.message[first])} and {m}",
+                    key=(t, 2, i, 0), round=t, sender=s, message_id=m,
                 )
-            if sender_ok:
-                seen_senders.setdefault(s, m)
-                senders.add(s)
-            if not message_ok:
+            if not self.message_ok[i]:
                 self.emit(
                     R.MESSAGE_RANGE,
                     f"round {t}: message {m} out of range for "
                     f"n_messages={self.n_messages}",
-                    round=t, sender=s, message_id=m,
+                    key=(t, 2, i, 1), round=t, sender=s, message_id=m,
                 )
-            if sender_ok and message_ok and not (self.holds[s] >> m) & 1:
+            elif code & NOT_HELD and self.sender_ok[i]:
                 self.emit(
                     R.SEND_WITHOUT_HOLD,
                     f"round {t}: processor {s} sends message {m} it cannot "
                     f"hold yet",
-                    round=t, sender=s, message_id=m,
+                    key=(t, 2, i, 2), round=t, sender=s, message_id=m,
                 )
-            neighbours = self._neighbours(s) if sender_ok else frozenset()
-            for d in sorted(tx.destinations):
-                if not 0 <= d < self.n:
-                    self.emit(
-                        R.VERTEX_RANGE,
-                        f"round {t}: destination {d} out of range for n={self.n}",
-                        round=t, sender=s, message_id=m, destination=d,
-                    )
-                    continue
-                if d in seen_receivers:
-                    self.emit(
-                        R.RECEIVER_COLLISION,
-                        f"round {t}: processor {d} receives two messages in "
-                        f"one round: {seen_receivers[d]} and {m}",
-                        round=t, sender=s, message_id=m, destination=d,
-                    )
-                seen_receivers.setdefault(d, m)
-                receivers.add(d)
-                if sender_ok and d not in neighbours:
-                    self.emit(
-                        R.NON_EDGE,
-                        f"round {t}: transmission {s} -> {d} does not follow "
-                        f"an edge of the network",
-                        round=t, sender=s, message_id=m, destination=d,
-                    )
-                if message_ok:
-                    pending.append((d, m, s, t))
-            if sender_ok and message_ok:
-                self.sends_of.setdefault((s, m), []).append(
-                    (t, frozenset(tx.destinations))
+        for j in np.flatnonzero(out.pair_code & (RANGE | COLLISION | NON_EDGE)).tolist():
+            i = int(cols.pair_row[j])
+            t, s, m = self._row(i)
+            d, code = int(cols.pair_dest[j]), int(out.pair_code[j])
+            if code & RANGE:
+                self.emit(
+                    R.VERTEX_RANGE,
+                    f"round {t}: destination {d} out of range for n={self.n}",
+                    key=(t, 2, i, 3, j, 0),
+                    round=t, sender=s, message_id=m, destination=d,
                 )
-
-        self.receivers.append(receivers)
-        self.senders.append(senders)
-        if R.IDLE_SENDER.id in self.active:
-            self._check_idle_senders(t, senders, receivers)
-        return pending
-
-    def _check_idle_senders(
-        self, t: int, senders: Set[int], receivers: Set[int]
-    ) -> None:
-        """Flag processors that could legally deliver this round but don't."""
-        if not self.rounds[t]:
-            return  # the idle-round lint already covers fully-silent rounds
-        for v in range(self.n):
-            if v in senders:
                 continue
-            have = self.holds[v]
-            for u in self._neighbours(v):
-                if u in receivers:
-                    continue
-                missing = have & ~self.holds[u]
-                if missing:
-                    self.emit(
-                        R.IDLE_SENDER,
-                        f"round {t}: processor {v} is idle but holds message "
-                        f"{_lowest_bit(missing)} its free neighbour {u} misses",
-                        round=t, sender=v,
-                    )
-                    break  # one finding per idle processor per round
+            if code & COLLISION:
+                lo = int(self.row_pairs[self.ptr[t]])
+                first = lo + int(np.flatnonzero(cols.pair_dest[lo:j] == d)[0])
+                self.emit(
+                    R.RECEIVER_COLLISION,
+                    f"round {t}: processor {d} receives two messages in "
+                    f"one round: {int(cols.message[cols.pair_row[first]])} and {m}",
+                    key=(t, 2, i, 3, j, 1),
+                    round=t, sender=s, message_id=m, destination=d,
+                )
+            if code & NON_EDGE:
+                self.emit(
+                    R.NON_EDGE,
+                    f"round {t}: transmission {s} -> {d} does not follow "
+                    f"an edge of the network",
+                    key=(t, 2, i, 3, j, 2),
+                    round=t, sender=s, message_id=m, destination=d,
+                )
+
+    def _idle_senders(self, t: int, holds: PackedHoldState) -> None:
+        """Flag processors that could legally deliver in round ``t`` but don't."""
+        if self._silent[t]:
+            return  # the idle-round lint already covers fully-silent rounds
+        f0, f1 = self._free_ptr[t], self._free_ptr[t + 1]
+        ev, eu = self._free_v[f0:f1], self._free_u[f0:f1]
+        gap = (holds.bits[ev] & ~holds.bits[eu]).any(axis=1)
+        ev, eu = ev[gap], eu[gap]
+        # One finding per idle processor: its first free neighbour missing something.
+        first = np.ones(len(ev), dtype=bool)
+        first[1:] = ev[1:] != ev[:-1]
+        for v, u in zip(ev[first].tolist(), eu[first].tolist()):
+            missing = holds.row_int(v) & ~holds.row_int(u)
+            self.emit(
+                R.IDLE_SENDER,
+                f"round {t}: processor {v} is idle but holds message "
+                f"{(missing & -missing).bit_length() - 1} its free neighbour {u} misses",
+                key=(t, 3, v), round=t, sender=v,
+            )
 
     def _check_completeness(self) -> None:
         if R.INCOMPLETE_GOSSIP.id not in self.active:
             return
+        holds = self.holds
         missing = {
-            v: _bits_missing(self.holds[v], self._full)
-            for v in range(self.n)
-            if self.holds[v] != self._full
+            int(v): tuple(holds.missing_of(v))
+            for v in np.flatnonzero(~holds.complete_mask())
         }
         if missing:
             self.emit(
                 R.INCOMPLETE_GOSSIP,
-                f"gossip incomplete after {len(self.rounds)} rounds; "
+                f"gossip incomplete after {self.cols.total_time} rounds; "
                 f"missing: {missing}",
             )
 
@@ -436,14 +403,24 @@ class _Pass:
         could have absorbed — fan-out waste, not a model violation."""
         if R.UNICAST_MERGEABLE.id not in self.active:
             return
-        for (s, m), sends in self.sends_of.items():
-            if len(sends) < 2:
-                continue
-            t0, dests0 = sends[0]
-            free_at_t0 = self.receivers[t0]
-            for t1, dests1 in sends[1:]:
-                extra = dests1 - dests0
-                if extra and all(d not in free_at_t0 for d in extra):
+        cols, pairs = self.cols, self.row_pairs
+        rows = np.flatnonzero(self.sender_ok & self.message_ok)
+        keys = cols.sender[rows] * self.n_messages + cols.message[rows]
+        _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+        repeat = counts[inverse] > 1
+        # Groups of one (sender, message), in order of their first send.
+        groups: Dict[int, List[int]] = {}
+        for key, i in zip(inverse[repeat].tolist(), rows[repeat].tolist()):
+            groups.setdefault(key, []).append(i)
+        for i0, *later in groups.values():
+            t0, s, m = self._row(i0)
+            dests0 = set(cols.pair_dest[pairs[i0] : pairs[i0 + 1]].tolist())
+            plo, phi = pairs[self.ptr[t0]], pairs[self.ptr[t0 + 1]]
+            busy_at_t0 = set(cols.pair_dest[plo:phi][self.dest_ok[plo:phi]].tolist())
+            for i1 in later:
+                extra = set(cols.pair_dest[pairs[i1] : pairs[i1 + 1]].tolist()) - dests0
+                if extra and not extra & busy_at_t0:
+                    t1 = int(cols.round[i1])
                     self.emit(
                         R.UNICAST_MERGEABLE,
                         f"round {t1}: processor {s} re-sends message {m}; the "
@@ -455,7 +432,7 @@ class _Pass:
     # ------------------------------------------------------------------
     def check_budget(self, plan: Optional[GossipPlan]) -> None:
         """The ``n + r`` certificate lint (efficiency tier)."""
-        if R.OVER_BUDGET.id not in self.active or not self.rounds:
+        if R.OVER_BUDGET.id not in self.active or not self.cols.total_time:
             return
         if plan is not None:
             r = plan.tree.height
@@ -464,7 +441,7 @@ class _Pass:
 
             r = radius(self.graph)
         budget = self.n + r
-        total = len(self.rounds)
+        total = self.cols.total_time
         if total > budget:
             self.emit(
                 R.OVER_BUDGET,
@@ -480,62 +457,62 @@ class _Pass:
         tree, labeled = plan.tree, plan.labeled
         self._check_label_contiguity(plan)
 
-        parent = [tree.parent(v) for v in range(tree.n)]
-        children = {v: frozenset(tree.children(v)) for v in range(tree.n)}
-        blocks = labeled.blocks()
-        up_events: Dict[int, List[Tuple[int, int]]] = {}
+        cols = self.cols
+        parent = np.asarray(tree.parents(), dtype=np.int64)
+        lo, hi = labeled.arrays.i, labeled.arrays.j  # each vertex's subtree interval
+        rows = cols.pair_row
+        s, m, d = cols.sender[rows], cols.message[rows], cols.pair_dest
+        j = np.flatnonzero(
+            (s >= 0) & (s < tree.n) & self.message_ok[rows] & (d >= 0) & (d < tree.n)
+        )
+        s, m, d, t = s[j], m[j], d[j], cols.round[rows[j]]
+        up = parent[s] == d
+        down = ~up & (parent[d] == s)
+        outside = up & ((m < lo[s]) | (m > hi[s]))
+        backflow = down & (lo[d] <= m) & (m <= hi[d])
+        for k in np.flatnonzero(outside | backflow | ~(up | down)).tolist():
+            tk, sk, mk, dk = int(t[k]), int(s[k]), int(m[k]), int(d[k])
+            if outside[k]:
+                self.emit(
+                    R.UP_MONOTONE,
+                    f"round {tk}: processor {sk} sends message {mk} "
+                    f"up to its parent, outside its subtree "
+                    f"interval [{lo[sk]}, {hi[sk]}]",
+                    round=tk, sender=sk, message_id=mk, destination=dk,
+                )
+            elif backflow[k]:
+                self.emit(
+                    R.DOWN_NO_BACKFLOW,
+                    f"round {tk}: processor {sk} sends message {mk} "
+                    f"down into the subtree of child {dk} that "
+                    f"originated it (interval [{lo[dk]}, {hi[dk]}])",
+                    round=tk, sender=sk, message_id=mk, destination=dk,
+                )
+            elif not up[k]:
+                self.emit(
+                    R.TREE_EDGE,
+                    f"round {tk}: transmission {sk} -> {dk} is not a "
+                    f"tree parent-child edge",
+                    round=tk, sender=sk, message_id=mk, destination=dk,
+                )
 
-        for t, txs in enumerate(self.rounds):
-            for tx in txs:
-                s, m = tx.sender, tx.message
-                if not (0 <= s < tree.n and 0 <= m < self.n_messages):
-                    continue  # already a model error
-                blk = blocks[s]
-                for d in tx.destinations:
-                    if not 0 <= d < tree.n:
-                        continue
-                    if d == parent[s]:
-                        if not blk.i <= m <= blk.j:
-                            self.emit(
-                                R.UP_MONOTONE,
-                                f"round {t}: processor {s} sends message {m} "
-                                f"up to its parent, outside its subtree "
-                                f"interval [{blk.i}, {blk.j}]",
-                                round=t, sender=s, message_id=m, destination=d,
-                            )
-                        up_events.setdefault(s, []).append((t, m))
-                    elif d in children[s]:
-                        db = blocks[d]
-                        if db.i <= m <= db.j:
-                            self.emit(
-                                R.DOWN_NO_BACKFLOW,
-                                f"round {t}: processor {s} sends message {m} "
-                                f"down into the subtree of child {d} that "
-                                f"originated it (interval [{db.i}, {db.j}])",
-                                round=t, sender=s, message_id=m, destination=d,
-                            )
-                    else:
-                        self.emit(
-                            R.TREE_EDGE,
-                            f"round {t}: transmission {s} -> {d} is not a "
-                            f"tree parent-child edge",
-                            round=t, sender=s, message_id=m, destination=d,
-                        )
-
-        for v, events in up_events.items():
-            events.sort()
-            for (t_prev, m_prev), (t_next, m_next) in zip(events, events[1:]):
-                if m_next <= m_prev:
-                    self.emit(
-                        R.UP_MONOTONE,
-                        f"round {t_next}: processor {v} sends message {m_next} "
-                        f"up after message {m_prev} (round {t_prev}); the "
-                        f"up-phase must be label-monotone",
-                        round=t_next, sender=v, message_id=m_next,
-                    )
+        # Each processor's up-sends, processors in order of their first
+        # one, each sorted by (round, message): the labels must rise.
+        s, t, m = s[up], t[up], m[up]
+        _, first, inverse = np.unique(s, return_index=True, return_inverse=True)
+        order = np.lexsort((m, t, first[inverse]))
+        s, t, m = s[order], t[order], m[order]
+        for k in np.flatnonzero((s[1:] == s[:-1]) & (m[1:] <= m[:-1])).tolist():
+            self.emit(
+                R.UP_MONOTONE,
+                f"round {int(t[k + 1])}: processor {int(s[k])} sends message "
+                f"{int(m[k + 1])} up after message {int(m[k])} (round "
+                f"{int(t[k])}); the up-phase must be label-monotone",
+                round=int(t[k + 1]), sender=int(s[k]), message_id=int(m[k + 1]),
+            )
 
         if R.ROOT_COMPLETE.id in self.active and tree.n >= 1:
-            root_done = self.complete_at[tree.root]
+            root_done = self.holds.completion_times()[tree.root]
             if root_done is None or root_done > tree.n:
                 when = "never" if root_done is None else f"at round {root_done}"
                 self.emit(
@@ -547,7 +524,7 @@ class _Pass:
 
         if R.LENGTH_CERTIFICATE.id in self.active:
             expected = tree.n + tree.height if tree.n >= 2 else 0
-            total = len(self.rounds)
+            total = self.cols.total_time
             if total != expected:
                 self.emit(
                     R.LENGTH_CERTIFICATE,
@@ -604,19 +581,3 @@ class _Pass:
                         f"expected {blk.j}",
                         sender=v,
                     )
-
-
-def _lowest_bit(mask: int) -> int:
-    """Index of the lowest set bit of a non-zero mask."""
-    return (mask & -mask).bit_length() - 1
-
-
-def _bits_missing(held: int, full: int) -> Tuple[int, ...]:
-    """Message ids present in ``full`` but absent from ``held``."""
-    missing = full & ~held
-    out: List[int] = []
-    while missing:
-        b = _lowest_bit(missing)
-        out.append(b)
-        missing &= missing - 1
-    return tuple(out)

@@ -76,7 +76,7 @@ from ..exceptions import (
     RuntimeDeadlineError,
     WireFormatError,
 )
-from ..simulator.lossy import _uniform
+from ..core.rng import keyed_uniform
 from .clock import Clock
 from .transport import LossyDatagramTransport
 from .wire import (
@@ -173,7 +173,7 @@ class RuntimeConfig:
                 rnd: int) -> float:
         """Seeded-exponential backoff before retransmission ``attempt + 1``."""
         base = min(self.backoff_cap, self.ack_timeout * self.backoff_factor ** attempt)
-        jitter = _uniform(self.seed, _TAG_BACKOFF, src, dst, phase, rnd, attempt)
+        jitter = keyed_uniform(self.seed, _TAG_BACKOFF, src, dst, phase, rnd, attempt)
         return base * (0.5 + jitter)
 
 

@@ -32,9 +32,10 @@ any table entry (the untracked, ever-growing heartbeat keys were
 exactly the old leak).
 
 Determinism mirrors the :class:`~repro.simulator.lossy.FaultModel`
-contract exactly and reuses its splitmix64 mixer: every draw is a pure
-function of ``(seed, tag, src, dst, kind, phase, round, attempt)``,
-where ``attempt`` counts identical retransmissions of the same record.
+contract exactly and draws through the same splitmix64 source
+(:func:`repro.core.rng.keyed_uniform`): every draw is a pure function
+of ``(seed, tag, src, dst, kind, phase, round, attempt)``, where
+``attempt`` counts identical retransmissions of the same record.
 So:
 
 * the same seed reproduces the same drops and delays on real sockets,
@@ -53,7 +54,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Set, Tuple
 
 from ..exceptions import GossipRuntimeError
-from ..simulator.lossy import _uniform
+from ..core.rng import keyed_uniform
 from .clock import Clock
 from .wire import ACK, DATA, FENCE, RESYNC, RESYNC_REQ, WIRE_SIZE, decode
 
@@ -145,7 +146,7 @@ class NetChaos:
         """Whether this send attempt is destroyed."""
         if self.drop_rate == 0.0:
             return False
-        u = _uniform(self.seed, _TAG_NET_DROP, src, dst, kind, phase, rnd, attempt)
+        u = keyed_uniform(self.seed, _TAG_NET_DROP, src, dst, kind, phase, rnd, attempt)
         return u < self.drop_rate
 
     def delay_of(self, src: int, dst: int, kind: int, phase: int,
@@ -153,7 +154,7 @@ class NetChaos:
         """Extra latency in seconds for this send attempt (0.0 = none)."""
         if self.delay_rate == 0.0:
             return 0.0
-        u = _uniform(self.seed, _TAG_NET_DELAY, src, dst, kind, phase, rnd, attempt)
+        u = keyed_uniform(self.seed, _TAG_NET_DELAY, src, dst, kind, phase, rnd, attempt)
         if u >= self.delay_rate:
             return 0.0
         # Rescale the accepting draw to [0, 1) for the latency magnitude:

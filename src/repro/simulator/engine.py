@@ -15,30 +15,33 @@ Model recap (paper Section 1):
 3. receive happens before send: a message delivered at time ``t`` (sent
    in round ``t - 1``) may be forwarded in round ``t``.
 
-The engine therefore applies round ``t-1``'s deliveries before checking
-round ``t``'s sends.
-
-Array-backed schedules take a vectorised fast path (unless an arrival
-log was requested): possession, adjacency, and the hold-set updates all
-run on the flat round/sender/message columns and the uint64 destination
-masks via :class:`~repro.simulator.state.PackedHoldState`, one numpy
-round at a time instead of one Python transmission at a time.  Results
-— completion times, duplicate counts, final holds, and every error
-message — are identical to the object path; the differential tests
-execute both and assert it.
+Execution is one run of the possession kernel
+(:func:`repro.core.possession.propagate`) that stops in the first round
+with a violation; the engine raises that round's first offending row's
+violation — a possession gap before a non-adjacent destination,
+destinations ascending.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..core.schedule import ArraySchedule, Schedule, Transmission
+from ..core.possession import (
+    NON_EDGE,
+    NOT_HELD,
+    RANGE,
+    VIOLATIONS,
+    Outcome,
+    PackedHoldState,
+    columns_of,
+    propagate,
+)
+from ..core.schedule import ArraySchedule, Schedule
 from ..exceptions import IncompleteGossipError, ModelViolationError
 from ..networks.graph import Graph
-from .state import HoldState, PackedHoldState
 
 __all__ = ["ExecutionResult", "execute_schedule", "ArrivalEvent"]
 
@@ -112,10 +115,9 @@ def execute_schedule(
         sender's neighbours).
     schedule:
         The rounds to execute — a :class:`Schedule` or a bare
-        :class:`ArraySchedule` (normalised through the facade).
-        Structural per-round rules were already checked at
-        :class:`~repro.core.schedule.Round` (object path) or
-        :class:`ArraySchedule` (array path) construction.
+        :class:`ArraySchedule`.  Structural per-round rules were already
+        checked at :class:`~repro.core.schedule.Round` or
+        :class:`ArraySchedule` construction.
     initial_holds:
         Initial hold bitsets; defaults to "processor ``v`` holds message
         ``v``".  Pass :func:`repro.simulator.state.labeled_holdings` when
@@ -131,193 +133,61 @@ def execute_schedule(
     Raises
     ------
     ModelViolationError
-        A sender transmits a message it does not hold, or to a
+        A sender transmits a message it does not hold (message ids
+        outside ``[0, n_messages)`` are never held), or to a
         non-neighbour.
     IncompleteGossipError
         Only with ``require_complete=True``.
     """
-    if isinstance(schedule, ArraySchedule):
-        schedule = Schedule.from_arrays(schedule)
-    if (
-        not record_arrivals
-        and schedule.is_array_backed
-        and schedule.arrays().n == graph.n
-    ):
-        return _execute_arrays(
-            graph,
-            schedule.arrays(),
-            initial_holds=initial_holds,
-            n_messages=n_messages,
-            require_complete=require_complete,
-        )
-    state = HoldState(
-        graph.n,
-        initial=initial_holds,
-        n_messages=n_messages,
-        track_arrivals=record_arrivals,
-    )
-    arrivals: List[ArrivalEvent] = []
-    pending: List[Tuple[int, int, int]] = []  # (receiver, sender, message)
-    # Per-sender neighbour sets, built once per sender across the whole
-    # run: repeat senders in large multicast schedules would otherwise
-    # pay a tuple rebuild + O(degree) scan per transmission.
-    neighbour_sets: Dict[int, FrozenSet[int]] = {}
-
-    for t, rnd in enumerate(schedule):
-        # Receive-before-send: apply last round's deliveries first.
-        for receiver, sender, message in pending:
-            state.deliver(receiver, message, t)
-            if record_arrivals:
-                arrivals.append(ArrivalEvent(t, receiver, sender, message))
-        pending = []
-        for tx in rnd:
-            _check_transmission(graph, state, tx, t, neighbour_sets)
-            for d in tx.destinations:
-                pending.append((d, tx.sender, tx.message))
-    final_time = schedule.total_time
-    for receiver, sender, message in pending:
-        state.deliver(receiver, message, final_time)
-        if record_arrivals:
-            arrivals.append(ArrivalEvent(final_time, receiver, sender, message))
-
-    complete = state.all_complete()
-    if require_complete and not complete:
+    holds = PackedHoldState(graph.n, initial=initial_holds, n_messages=n_messages)
+    out = propagate(columns_of(schedule), graph, holds, stop_on=VIOLATIONS)
+    if out.violation is not None:
+        raise row_violation(out, out.violation)
+    final_time = out.columns.total_time
+    if require_complete and not holds.all_complete():
         missing = {
-            v: state.missing_of(v) for v in range(graph.n) if not state.is_complete(v)
+            int(v): holds.missing_of(v) for v in np.flatnonzero(~holds.complete_mask())
         }
         raise IncompleteGossipError(
             f"gossip incomplete after {final_time} rounds; missing: {missing}"
         )
     return ExecutionResult(
-        complete=complete,
+        complete=holds.all_complete(),
         total_time=final_time,
-        completion_times=state.completion_times(),
-        duplicate_deliveries=state.duplicate_deliveries,
-        final_holds=state.snapshot(),
-        arrivals=arrivals,
+        completion_times=holds.completion_times(),
+        duplicate_deliveries=holds.duplicate_deliveries,
+        final_holds=holds.snapshot(),
+        arrivals=arrival_log(out) if record_arrivals else [],
     )
 
 
-def _packed_adjacency(graph: Graph) -> np.ndarray:
-    """Neighbour sets as an ``(n, ceil(n / 64))`` uint64 bitmask matrix.
-
-    Same word/bit convention as the schedule destination masks, so
-    "every destination is adjacent" is one masked AND per transmission.
-    """
-    adj = np.zeros((graph.n, (graph.n + 63) // 64), dtype=np.uint64)
-    for v in range(graph.n):
-        for u in graph.neighbors(v):
-            adj[v, u >> 6] |= np.uint64(1) << np.uint64(u & 63)
-    return adj
+def arrival_log(out: Outcome) -> List[ArrivalEvent]:
+    """Every delivery that landed in a kernel run, in landing order."""
+    cols, landed = out.columns, np.flatnonzero(out.landed)
+    rows = cols.pair_row[landed]
+    columns = (cols.round[rows] + 1, cols.pair_dest[landed], cols.sender[rows], cols.message[rows])
+    return [ArrivalEvent(*event) for event in zip(*(c.tolist() for c in columns))]
 
 
-def _execute_arrays(
-    graph: Graph,
-    arrays,
-    *,
-    initial_holds: Optional[Sequence[int]],
-    n_messages: Optional[int],
-    require_complete: bool,
-) -> ExecutionResult:
-    """The vectorised execution path for array-backed schedules.
-
-    Walks the CSR round slices of an
-    :class:`~repro.core.schedule.ArraySchedule`, checking possession
-    against the packed hold matrix and adjacency against the packed
-    neighbour matrix, then applying the round's flat delivery stream in
-    one scatter.  Receive-before-send and all error messages mirror the
-    object path exactly.
-    """
-    state = PackedHoldState(graph.n, initial=initial_holds, n_messages=n_messages)
-    adj = _packed_adjacency(graph)
-    ptr = arrays.round_ptr
-    masks = arrays.dest_mask
-    senders = arrays.sender.astype(np.int64)
-    messages = arrays.message.astype(np.int64)
-    # Flat delivery stream, sliced per round: pair i delivers
-    # messages[pair_row[i]] to pair_dest[i].
-    pair_row, pair_dest = arrays.destination_pairs()
-    pair_ptr = np.searchsorted(pair_row, ptr)
-
-    final_time = arrays.total_time
-    pend_recv = pend_msg = np.zeros(0, dtype=np.int64)
-    for t in range(final_time):
-        # Receive-before-send: apply last round's deliveries first.
-        state.deliver_round(pend_recv, pend_msg, t)
-        lo, hi = int(ptr[t]), int(ptr[t + 1])
-        if hi > lo:
-            snd = senders[lo:hi]
-            msg = messages[lo:hi]
-            poss_ok = state.holds_mask(snd, msg)
-            adj_ok = ~np.any(masks[lo:hi] & ~adj[snd], axis=1)
-            if not (poss_ok.all() and adj_ok.all()):
-                i = int(np.flatnonzero(~poss_ok | ~adj_ok)[0])
-                s, m = int(snd[i]), int(msg[i])
-                if not poss_ok[i]:
-                    raise ModelViolationError(
-                        f"at time {t} processor {s} sends message {m} "
-                        f"it does not hold (holds {state.messages_of(s)})"
-                    )
-                stray = masks[lo + i] & ~adj[s]
-                w = int(np.flatnonzero(stray)[0])
-                d = w * 64 + (int(stray[w]) & -int(stray[w])).bit_length() - 1
-                raise ModelViolationError(
-                    f"at time {t} processor {s} multicasts to {d}, "
-                    "which is not an adjacent processor"
-                )
-        plo, phi = int(pair_ptr[t]), int(pair_ptr[t + 1])
-        pend_recv = pair_dest[plo:phi]
-        pend_msg = messages[pair_row[plo:phi]]
-    state.deliver_round(pend_recv, pend_msg, final_time)
-
-    complete = state.all_complete()
-    if require_complete and not complete:
-        missing = {
-            v: state.missing_of(v)
-            for v in range(graph.n)
-            if not state.is_complete(v)
-        }
-        raise IncompleteGossipError(
-            f"gossip incomplete after {final_time} rounds; missing: {missing}"
+def row_violation(out: Outcome, i: int, *, possession: bool = True) -> ModelViolationError:
+    """The error for row ``i`` of a kernel run: a sender that is not a
+    processor, then (with ``possession``) a message the sender does not
+    hold, then the row's first destination that is not adjacent."""
+    cols, holds = out.columns, out.holds
+    t, s, m = int(cols.round[i]), int(cols.sender[i]), int(cols.message[i])
+    if out.row_code[i] & RANGE:
+        return ModelViolationError(
+            f"at time {t} processor {s} sends message {m} but is not one of "
+            f"the {holds.n} processors"
         )
-    return ExecutionResult(
-        complete=complete,
-        total_time=final_time,
-        completion_times=state.completion_times(),
-        duplicate_deliveries=state.duplicate_deliveries,
-        final_holds=state.snapshot(),
-        arrivals=[],
+    if possession and out.row_code[i] & NOT_HELD:
+        return ModelViolationError(
+            f"at time {t} processor {s} sends message {m} "
+            f"it does not hold (holds {holds.messages_of(s)})"
+        )
+    lo, hi = np.searchsorted(cols.pair_row, (i, i + 1))
+    stray = lo + np.flatnonzero(out.pair_code[lo:hi] & (NON_EDGE | RANGE))
+    return ModelViolationError(
+        f"at time {t} processor {s} multicasts to {int(cols.pair_dest[stray[0]])}, "
+        "which is not an adjacent processor"
     )
-
-
-def _check_transmission(
-    graph: Graph,
-    state: HoldState,
-    tx: Transmission,
-    time: int,
-    neighbour_sets: Optional[Dict[int, FrozenSet[int]]] = None,
-) -> None:
-    """Enforce possession and adjacency for one transmission.
-
-    ``neighbour_sets`` is a per-sender cache of frozenset neighbour
-    views shared across one execution (membership tests are O(1) against
-    the O(degree) scan of the raw neighbour tuple).
-    """
-    if not state.holds(tx.sender, tx.message):
-        raise ModelViolationError(
-            f"at time {time} processor {tx.sender} sends message {tx.message} "
-            f"it does not hold (holds {state.messages_of(tx.sender)})"
-        )
-    if neighbour_sets is None:
-        neighbours: FrozenSet[int] = frozenset(graph.neighbors(tx.sender))
-    else:
-        cached = neighbour_sets.get(tx.sender)
-        if cached is None:
-            cached = neighbour_sets[tx.sender] = frozenset(graph.neighbors(tx.sender))
-        neighbours = cached
-    for d in tx.destinations:
-        if d not in neighbours:
-            raise ModelViolationError(
-                f"at time {time} processor {tx.sender} multicasts to {d}, "
-                "which is not an adjacent processor"
-            )

@@ -9,8 +9,8 @@ transient windows.  This is the regime the related gossip literature
 substrate :mod:`repro.core.recovery` repairs on top of.
 
 Determinism is the load-bearing property.  Every fault decision is a
-pure function of ``(model.seed, kind, round, endpoints)`` through a
-splitmix64-style mixer, so:
+pure function of ``(model.seed, kind, round, endpoints)`` through the
+splitmix64 draws of :mod:`repro.core.rng`, so:
 
 * a run is byte-for-byte reproducible for a fixed seed, on any platform,
   regardless of iteration order;
@@ -21,10 +21,13 @@ splitmix64-style mixer, so:
   , independent draw (the round index is part of the hash), so repair
   attempts are not doomed to repeat the original loss.
 
-A fault-free model (:attr:`FaultModel.is_null`) takes the exact
-:func:`~repro.simulator.engine.execute_schedule` code path semantics:
-every observable field of the result matches bit for bit (property-
-tested in ``tests/property/test_property_lossy.py``).
+Execution is one run of the possession kernel
+(:func:`repro.core.possession.propagate`): no fault decision depends on
+possession, so every fault is drawn up front (drops vectorised) and the
+kernel only adds the possession gaps.  Under a fault-free model
+(:attr:`FaultModel.is_null`) every observable field matches
+:func:`~repro.simulator.engine.execute_schedule` (property-tested in
+``tests/property/test_property_lossy.py``).
 
 Fault semantics, applied to the round sent at time ``t``:
 
@@ -66,13 +69,25 @@ The residual network after permanent failures is what
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
+import numpy as np
+
+from ..core.possession import (
+    NON_EDGE,
+    NOT_HELD,
+    RANGE,
+    Columns,
+    PackedHoldState,
+    columns_of,
+    propagate,
+)
+from ..core.rng import keyed_uniform, keyed_uniform_array
 from ..core.schedule import Schedule
-from ..exceptions import ModelViolationError, SimulationError
+from ..exceptions import SimulationError
 from ..networks.graph import Graph
-from .engine import ArrivalEvent, ExecutionResult
-from .state import HoldState, bits_of
+from .engine import ArrivalEvent, ExecutionResult, arrival_log, row_violation
+from .state import bits_of
 
 __all__ = [
     "FaultModel",
@@ -82,8 +97,7 @@ __all__ = [
     "execute_with_faults",
 ]
 
-_MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
+_R = TypeVar("_R")
 
 # Domain-separation tags so a delivery draw never collides with a link
 # or crash draw at the same coordinates.
@@ -93,22 +107,13 @@ _TAG_CRASH = 0xC9A
 _TAG_FAIL_STOP = 0xF57
 _TAG_LINK_FAIL = 0x1F1
 
-
-def _mix64(x: int) -> int:
-    """splitmix64 finaliser — a high-quality 64-bit avalanche."""
-    x = (x + _GOLDEN) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
-
-
-def _uniform(seed: int, tag: int, *coords: int) -> float:
-    """Deterministic uniform draw in ``[0, 1)`` keyed by the coordinates."""
-    h = _mix64(seed & _MASK64)
-    h = _mix64(h ^ tag)
-    for c in coords:
-        h = _mix64(h ^ ((c + 1) * _GOLDEN & _MASK64))
-    return h / 2.0**64
+#: Why a multicast never happened: the codes ``_sender_faults`` draws,
+#: then the possession gap the kernel finds.
+_SEND_REASONS = ("", "sender-fail-stop", "sender-crash", "not-held")
+#: Why a delivery was lost, by the code ``_delivery_losses`` draws.
+_LOSS_REASONS = (
+    "", "receiver-fail-stop", "link-fail", "link-outage", "receiver-crash", "drop",
+)
 
 
 @dataclass(frozen=True)
@@ -198,14 +203,25 @@ class FaultModel:
         """Whether the delivery ``sender -> receiver`` sent at ``time`` is lost."""
         if self.drop_rate == 0.0:
             return False
-        return _uniform(self.seed, _TAG_DROP, time, sender, receiver) < self.drop_rate
+        return keyed_uniform(self.seed, _TAG_DROP, time, sender, receiver) < self.drop_rate
+
+    def drops_deliveries(
+        self, time: np.ndarray, sender: np.ndarray, receiver: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`drops_delivery` over delivery columns, one draw each."""
+        if self.drop_rate == 0.0:
+            return np.zeros(len(time), dtype=bool)
+        return (
+            keyed_uniform_array(self.seed, _TAG_DROP, time, sender, receiver)
+            < self.drop_rate
+        )
 
     def link_out(self, time: int, u: int, v: int) -> bool:
         """Whether the (undirected) link ``{u, v}`` is down for round ``time``."""
         if self.link_outage_rate == 0.0:
             return False
         a, b = (u, v) if u < v else (v, u)
-        return _uniform(self.seed, _TAG_LINK, time, a, b) < self.link_outage_rate
+        return keyed_uniform(self.seed, _TAG_LINK, time, a, b) < self.link_outage_rate
 
     def crashed(self, time: int, v: int) -> bool:
         """Whether processor ``v`` is inside a transient crash window at ``time``.
@@ -222,7 +238,7 @@ class FaultModel:
             key = (start, v)
             hit = starts.get(key)
             if hit is None:
-                hit = _uniform(self.seed, _TAG_CRASH, start, v) < self.crash_rate
+                hit = keyed_uniform(self.seed, _TAG_CRASH, start, v) < self.crash_rate
                 starts[key] = hit
             if hit:
                 return True
@@ -243,7 +259,7 @@ class FaultModel:
             return first <= time
         start = self._fail_stop_scanned.get(v, 0)
         for t in range(start, time + 1):
-            if _uniform(self.seed, _TAG_FAIL_STOP, t, v) < self.fail_stop_rate:
+            if keyed_uniform(self.seed, _TAG_FAIL_STOP, t, v) < self.fail_stop_rate:
                 self._fail_stop_first[v] = t
                 return True
         self._fail_stop_scanned[v] = time + 1
@@ -263,7 +279,7 @@ class FaultModel:
             return first <= time
         start = self._link_fail_scanned.get(key, 0)
         for t in range(start, time + 1):
-            if _uniform(self.seed, _TAG_LINK_FAIL, t, *key) < self.link_fail_rate:
+            if keyed_uniform(self.seed, _TAG_LINK_FAIL, t, *key) < self.link_fail_rate:
                 self._link_fail_first[key] = t
                 return True
         self._link_fail_scanned[key] = time + 1
@@ -363,112 +379,108 @@ def execute_with_faults(
 ) -> FaultyExecutionResult:
     """Run ``schedule`` on ``graph`` while ``model`` injects faults.
 
-    The loop mirrors :func:`~repro.simulator.engine.execute_schedule`
-    (receive-before-send, deliveries land one round after sending) with
-    the fault semantics described in the module docstring.  Under a null
-    model the result matches ``execute_schedule`` on every field.
+    Receive-before-send and one-round delivery as in
+    :func:`~repro.simulator.engine.execute_schedule`, with the fault
+    semantics described in the module docstring.  Under a null model the
+    result matches ``execute_schedule`` on every field.
+
+    :attr:`FaultyExecutionResult.suppressed` lists the suppressed
+    multicasts in schedule order; :attr:`FaultyExecutionResult.lost`
+    lists the lost deliveries in schedule order, ascending destination
+    within one multicast.
 
     Raises
     ------
     ModelViolationError
         A transmission targets a non-neighbour.  Possession gaps caused
         by earlier losses are *not* violations — they suppress the send
-        and are recorded in :attr:`FaultyExecutionResult.suppressed`.
+        and are recorded in :attr:`FaultyExecutionResult.suppressed`
+        (so is a message id outside ``[0, n_messages)``).
     """
-    state = HoldState(
-        graph.n,
-        initial=initial_holds,
-        n_messages=n_messages,
-        track_arrivals=record_arrivals,
+    holds = PackedHoldState(graph.n, initial=initial_holds, n_messages=n_messages)
+    init_snapshot = tuple(holds.snapshot())
+    cols = columns_of(schedule)
+    send_fault = _sender_faults(model, cols)
+    loss = _delivery_losses(model, cols)
+    out = propagate(
+        cols, graph, holds, row_skip=send_fault != 0, pair_skip=loss != 0,
+        suppress_not_held=True, stop_on=NON_EDGE | RANGE,
     )
-    init_snapshot = tuple(state.snapshot())
-    arrivals: List[ArrivalEvent] = []
-    lost: List[LostDelivery] = []
-    suppressed: List[SuppressedSend] = []
-    pending: List[Tuple[int, int, int]] = []  # (receiver, sender, message)
-    neighbour_sets: Dict[int, frozenset] = {}
-    null_model = model.is_null
-
-    for t, rnd in enumerate(schedule):
-        for receiver, sender, message in pending:
-            state.deliver(receiver, message, t)
-            if record_arrivals:
-                arrivals.append(ArrivalEvent(t, receiver, sender, message))
-        pending = []
-        for tx in rnd:
-            neighbours = neighbour_sets.get(tx.sender)
-            if neighbours is None:
-                neighbours = frozenset(graph.neighbors(tx.sender))
-                neighbour_sets[tx.sender] = neighbours
-            for d in tx.destinations:
-                if d not in neighbours:
-                    raise ModelViolationError(
-                        f"at time {t} processor {tx.sender} multicasts to {d}, "
-                        "which is not an adjacent processor"
-                    )
-            if not null_model:
-                if model.fail_stopped(t, tx.sender):
-                    suppressed.append(
-                        SuppressedSend(t, tx.sender, tx.message, "sender-fail-stop")
-                    )
-                    continue
-                if model.crashed(t, tx.sender):
-                    suppressed.append(
-                        SuppressedSend(t, tx.sender, tx.message, "sender-crash")
-                    )
-                    continue
-            if not state.holds(tx.sender, tx.message):
-                # Cascading fault: an earlier loss starved this sender.
-                suppressed.append(
-                    SuppressedSend(t, tx.sender, tx.message, "not-held")
-                )
-                continue
-            for d in tx.destinations:
-                if not null_model:
-                    if model.fail_stopped(t, d):
-                        lost.append(
-                            LostDelivery(
-                                t, d, tx.sender, tx.message, "receiver-fail-stop"
-                            )
-                        )
-                        continue
-                    if model.link_failed(t, tx.sender, d):
-                        lost.append(
-                            LostDelivery(t, d, tx.sender, tx.message, "link-fail")
-                        )
-                        continue
-                    if model.link_out(t, tx.sender, d):
-                        lost.append(
-                            LostDelivery(t, d, tx.sender, tx.message, "link-outage")
-                        )
-                        continue
-                    if model.crashed(t, d):
-                        lost.append(
-                            LostDelivery(t, d, tx.sender, tx.message, "receiver-crash")
-                        )
-                        continue
-                    if model.drops_delivery(t, tx.sender, d):
-                        lost.append(
-                            LostDelivery(t, d, tx.sender, tx.message, "drop")
-                        )
-                        continue
-                pending.append((d, tx.sender, tx.message))
-    final_time = schedule.total_time
-    for receiver, sender, message in pending:
-        state.deliver(receiver, message, final_time)
-        if record_arrivals:
-            arrivals.append(ArrivalEvent(final_time, receiver, sender, message))
-
+    if out.violation is not None:  # faults never excuse a malformed schedule
+        raise row_violation(out, out.violation, possession=False)
+    why = np.where(send_fault != 0, send_fault, np.where(out.row_code & NOT_HELD, 3, 0))
+    rows = np.flatnonzero(why)
+    suppressed = _records(
+        SuppressedSend, _SEND_REASONS, why[rows],
+        cols.round[rows], cols.sender[rows], cols.message[rows],
+    )
+    lost_pairs = np.flatnonzero((loss != 0) & (why[cols.pair_row] == 0))
+    rows = cols.pair_row[lost_pairs]
+    lost = _records(
+        LostDelivery, _LOSS_REASONS, loss[lost_pairs],
+        cols.round[rows], cols.pair_dest[lost_pairs], cols.sender[rows], cols.message[rows],
+    )
     return FaultyExecutionResult(
-        complete=state.all_complete(),
-        total_time=final_time,
-        completion_times=state.completion_times(),
-        duplicate_deliveries=state.duplicate_deliveries,
-        final_holds=state.snapshot(),
-        arrivals=arrivals,
-        lost=tuple(lost),
-        suppressed=tuple(suppressed),
+        complete=holds.all_complete(),
+        total_time=cols.total_time,
+        completion_times=holds.completion_times(),
+        duplicate_deliveries=holds.duplicate_deliveries,
+        final_holds=holds.snapshot(),
+        arrivals=arrival_log(out) if record_arrivals else [],
+        lost=lost,
+        suppressed=suppressed,
         model=model,
         initial_holds=init_snapshot,
-        n_messages=state.n_messages,
+        n_messages=holds.n_messages,
     )
+
+
+def _records(
+    record: Callable[..., _R], reasons: Tuple[str, ...], codes: np.ndarray, *columns: np.ndarray
+) -> Tuple[_R, ...]:
+    """One ``record(*fields, reason)`` per entry of the parallel columns."""
+    return tuple(
+        record(*fields, reasons[code])
+        for *fields, code in zip(*(c.tolist() for c in columns), codes.tolist())
+    )
+
+
+def _sender_faults(model: FaultModel, cols: Columns) -> np.ndarray:
+    """Per row: 0, or the index in ``_SEND_REASONS`` of why it never sent.
+
+    Permanent-failure draws run when the model declares it can kill
+    (:attr:`FaultModel.has_permanent`), so scripted models that only
+    override :meth:`FaultModel.fail_stopped` are honoured.
+    """
+    if model.is_null or not (model.has_permanent or model.crash_rate > 0.0):
+        return np.zeros(len(cols.round), dtype=np.int64)
+    return np.array(
+        [
+            1 if model.fail_stopped(t, s) else 2 if model.crashed(t, s) else 0
+            for t, s in zip(cols.round.tolist(), cols.sender.tolist())
+        ],
+        dtype=np.int64,
+    )
+
+
+def _delivery_losses(model: FaultModel, cols: Columns) -> np.ndarray:
+    """Per delivery: 0, or the index in ``_LOSS_REASONS`` of why it was lost.
+
+    A delivery with several faults reports the first in that order.
+    """
+    rows = cols.pair_row
+    if model.is_null:
+        return np.zeros(len(rows), dtype=np.int64)
+    t, s, d = cols.round[rows], cols.sender[rows], cols.pair_dest
+    code = np.where(model.drops_deliveries(t, s, d), 5, 0)
+    checks = (
+        (model.has_permanent, 1, lambda t, s, d: model.fail_stopped(t, d)),
+        (model.has_permanent, 2, model.link_failed),
+        (model.link_outage_rate > 0.0, 3, model.link_out),
+        (model.crash_rate > 0.0, 4, lambda t, s, d: model.crashed(t, d)),
+    )
+    for active, reason, lost in reversed(checks):
+        if active:
+            hit = [lost(*key) for key in zip(t.tolist(), s.tolist(), d.tolist())]
+            code[np.asarray(hit, dtype=bool)] = reason
+    return code

@@ -2,8 +2,8 @@
 
 Each new concurrency rule gets a firing fixture and a clean fixture; the
 legacy rules keep their behaviour (the full legacy matrix lives in
-``tests/analysis/test_lint_check.py``, which drives the back-compat shim
-``scripts/check_conventions.py``); and the whole source tree must lint
+``tests/analysis/test_lint_check.py``, which drives
+``python -m repro.check.codelint``); and the whole source tree must lint
 clean.
 """
 

@@ -10,12 +10,14 @@ end to end:
 * bit-identity of the array-built ConcurrentUpDown against the seed
   per-vertex builder across every topology family and random trees;
 * identical diagnostics from every ``repro.lint`` rule on both forms;
-* the packed possession bitset (:class:`PackedHoldState`) agreeing with
-  the object-path :class:`HoldState` — ``int.bit_count()`` parity — and
-  the simulator's array fast path agreeing with the object engine;
-* the deprecation fence on the legacy builder mutation path.
+* the packed possession bitset (:class:`PackedHoldState`) and the
+  engine agreeing with the independent reference executor
+  (:mod:`repro.simulator.reference`) — ``int.bit_count()`` parity round
+  by round, then exact hold sets and error loci;
+* the builder loading an existing schedule.
 """
 
+import re
 import warnings
 
 import numpy as np
@@ -37,8 +39,11 @@ from repro.exceptions import ScheduleConflictError, ScheduleError
 from repro.lint import lint_schedule
 from repro.networks.builders import tree_to_graph
 from repro.networks.spanning_tree import minimum_depth_spanning_tree
+from repro.core.possession import PackedHoldState
+from repro.exceptions import ModelViolationError
 from repro.simulator.engine import execute_schedule
-from repro.simulator.state import HoldState, PackedHoldState, labeled_holdings
+from repro.simulator.reference import reference_execute
+from repro.simulator.state import bits_of, labeled_holdings
 from repro.tree.labeling import LabeledTree
 from tests.conftest import labeled_trees
 
@@ -138,6 +143,29 @@ class TestValidation:
         with pytest.raises(ScheduleConflictError):
             ArraySchedule.from_events(t, s, m, masks, n=4)
 
+    def test_negative_message_rejected(self):
+        """Message -1 used to pass and be read as message 63 (word -1)."""
+        masks = np.zeros((1, 1), dtype=np.uint64)
+        masks[0, 0] = 1 << 62
+        with pytest.raises(ScheduleError, match="negative message id -1"):
+            ArraySchedule(
+                np.array([0]), np.array([63]), np.array([-1]), masks, n=64
+            )
+
+    def test_negative_message_rejected_from_npz(self, tmp_path):
+        path = tmp_path / "forged.npz"
+        np.savez(
+            path,
+            round=np.array([0], dtype=np.int32),
+            sender=np.array([63], dtype=np.int32),
+            message=np.array([-1], dtype=np.int32),
+            dest_mask=np.array([[1 << 62]], dtype=np.uint64),
+            meta=np.array([64, 64], dtype=np.int64),
+            name=np.array("forged"),
+        )
+        with pytest.raises(ScheduleError, match="negative message id -1"):
+            ArraySchedule.from_npz(path)
+
     def test_lazy_mask_validation_is_deferred(self):
         t, s, m = self._cols()
 
@@ -234,6 +262,10 @@ class TestLintDifferential:
         assert on_arrays.name == on_objects.name
 
 
+def _label_sets(plan):
+    return [{int(label)} for label in plan.labeled.labels()]
+
+
 class TestPackedStateParity:
     @pytest.mark.parametrize("spec", ["grid:25", "path:17", "random:32"])
     def test_fast_path_matches_object_engine(self, spec):
@@ -243,59 +275,71 @@ class TestPackedStateParity:
             plan.graph, plan.schedule, initial_holds=holds,
             require_complete=True,
         )
-        slow = execute_schedule(
-            plan.graph, plan.schedule, initial_holds=holds,
-            require_complete=True, record_arrivals=True,  # forces object path
+        ref = reference_execute(
+            plan.graph, plan.schedule, initial_holds=_label_sets(plan)
         )
-        assert fast.completion_times == slow.completion_times
-        assert fast.duplicate_deliveries == slow.duplicate_deliveries
-        assert fast.final_holds == slow.final_holds
-        assert fast.makespan == slow.makespan
+        assert fast.complete == ref.complete
+        assert tuple(fast.completion_times) == ref.completion_times
+        assert tuple(frozenset(bits_of(h)) for h in fast.final_holds) == ref.final_holds
+        assert fast.makespan == max(ref.completion_times)
+        # Every delivery either adds a message or is a duplicate.
+        gained = sum(len(h) for h in ref.final_holds) - plan.graph.n
+        assert fast.duplicate_deliveries == plan.schedule.total_deliveries() - gained
 
     def test_bit_count_parity_per_round(self):
-        """Step both representations round by round; popcounts agree."""
+        """Step the packed state round by round; after every round its
+        popcounts, then its exact sets, match the reference on that prefix."""
         plan = gossip("grid:16")
-        labels = plan.labeled.labels()
-        packed = PackedHoldState(plan.graph.n, initial=labeled_holdings(labels))
-        obj = HoldState(plan.graph.n, initial=labeled_holdings(labels))
-        for t, rnd in enumerate(plan.rounds(), start=1):
+        packed = PackedHoldState(
+            plan.graph.n, initial=labeled_holdings(plan.labeled.labels())
+        )
+        rounds = plan.rounds()
+        for t, rnd in enumerate(rounds, start=1):
             recv, msg = [], []
             for tx in rnd:
                 for d in tx.destinations:
                     recv.append(d)
                     msg.append(tx.message)
-                    obj.deliver(d, tx.message, t)
             packed.deliver_round(
                 np.asarray(recv, dtype=np.int64),
                 np.asarray(msg, dtype=np.int64),
                 t,
             )
-            packed.assert_parity(obj)
-        assert packed.all_complete() and obj.all_complete()
-        assert packed.completion_times() == obj.completion_times()
-        assert packed.duplicate_deliveries == obj.duplicate_deliveries
+            ref = reference_execute(
+                plan.graph, Schedule(rounds[:t]), initial_holds=_label_sets(plan)
+            )
+            mine = packed.snapshot()
+            assert [h.bit_count() for h in mine] == [len(h) for h in ref.final_holds]
+            assert [frozenset(bits_of(h)) for h in mine] == list(ref.final_holds)
+        assert packed.all_complete() and ref.complete
+        assert tuple(packed.completion_times()) == ref.completion_times
+        assert packed.duplicate_deliveries == 0
 
     def test_fast_path_reports_possession_violation(self):
-        """Same error text as the object engine, receive-before-send."""
+        """The engine stops at the reference's violation, receive-before-send,
+        and names what the sender holds."""
         plan = gossip("path:6")
         wrong_holds = [1 << 0] * plan.graph.n  # nobody holds their label
-        with pytest.raises(Exception) as fast_err:
+        with pytest.raises(ModelViolationError) as fast_err:
             execute_schedule(plan.graph, plan.schedule, initial_holds=wrong_holds)
-        with pytest.raises(Exception) as slow_err:
-            execute_schedule(
-                plan.graph, plan.schedule, initial_holds=wrong_holds,
-                record_arrivals=True,
+        with pytest.raises(ModelViolationError) as ref_err:
+            reference_execute(
+                plan.graph, plan.schedule, initial_holds=[{0}] * plan.graph.n
             )
-        assert str(fast_err.value) == str(slow_err.value)
-        assert type(fast_err.value) is type(slow_err.value)
+        t, s, m = (int(x) for x in re.match(
+            r"at time (\d+) processor (\d+) sends message (\d+) it does not "
+            r"hold \(holds \[0\]\)$", str(fast_err.value),
+        ).groups())
+        assert str(ref_err.value) == f"reference: {s} lacks message {m} at {t}"
 
 
 class TestDeprecations:
-    def test_from_schedule_on_array_backed_warns(self):
+    """The builder's loader, once behind a deprecation fence for
+    array-backed schedules, now loads every schedule the same way."""
+
+    def test_from_schedule_round_trips_array_backed(self):
         plan = _plan("path:6")
-        with pytest.warns(DeprecationWarning, match="array-backed"):
-            builder = ScheduleBuilder.from_schedule(plan.schedule)
-        # ...but still round-trips faithfully
+        builder = ScheduleBuilder.from_schedule(plan.schedule)
         assert builder.build(name=plan.schedule.name) == plan.schedule
 
     def test_builder_builds_arrays_underneath(self):

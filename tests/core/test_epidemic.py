@@ -11,11 +11,11 @@ from repro.core.epidemic import (
     run_epidemic,
 )
 from repro.core.gossip import gossip, resolve_network
-from repro.core.rng import SplitMix64, keyed_u64, mix64
+from repro.core.rng import SplitMix64, keyed_u64
 from repro.exceptions import ReproError
 from repro.networks import topologies
 from repro.simulator.engine import execute_schedule
-from repro.simulator.lossy import _mix64, execute_with_faults, FaultModel
+from repro.simulator.lossy import execute_with_faults, FaultModel
 from repro.simulator.state import identity_holdings
 
 
@@ -23,10 +23,6 @@ GRID, _ = resolve_network("grid:16")
 
 
 class TestRng:
-    def test_mix64_matches_lossy_finaliser(self):
-        for x in (0, 1, 7, 2**63, 2**64 - 1, 0xDEADBEEF):
-            assert mix64(x) == _mix64(x)
-
     def test_keyed_u64_is_coordinate_pure(self):
         a = keyed_u64(5, 0xE41, 3, 9)
         b = keyed_u64(5, 0xE41, 3, 9)

@@ -18,31 +18,30 @@ from repro.networks.builders import tree_to_graph
 
 
 class TestKeywordOnlyShims:
-    def test_positional_algorithm_warns_but_works(self):
+    def test_positional_algorithm_gets_typeerror(self):
         g = topologies.path_graph(5)
-        with pytest.warns(DeprecationWarning):
-            plan = gossip(g, "simple")
-        assert plan.algorithm == "simple"
-        assert plan.schedule == gossip(g, algorithm="simple").schedule
+        with pytest.raises(TypeError, match="positional argument"):
+            gossip(g, "simple")
+        assert gossip(g, algorithm="simple").algorithm == "simple"
 
-    def test_positional_tree_warns_but_works(self):
+    def test_positional_tree_gets_typeerror(self):
         g = topologies.path_graph(5)
         tree = gossip(g).tree
-        with pytest.warns(DeprecationWarning):
-            plan = gossip(g, "concurrent-updown", tree)
-        assert plan.tree == tree
+        with pytest.raises(TypeError, match="positional argument"):
+            gossip(g, "concurrent-updown", tree)
+        assert gossip(g, algorithm="concurrent-updown", tree=tree).tree == tree
 
-    def test_gossip_on_tree_positional_warns(self):
+    def test_gossip_on_tree_positional_gets_typeerror(self):
         tree = gossip(topologies.star_graph(5)).tree
-        with pytest.warns(DeprecationWarning):
-            plan = gossip_on_tree(tree, "simple")
-        assert plan.algorithm == "simple"
+        with pytest.raises(TypeError, match="positional argument"):
+            gossip_on_tree(tree, "simple")
+        assert gossip_on_tree(tree, algorithm="simple").algorithm == "simple"
 
-    def test_execute_positional_warns(self):
+    def test_execute_positional_gets_typeerror(self):
         plan = gossip(topologies.path_graph(4))
-        with pytest.warns(DeprecationWarning):
-            result = plan.execute(True)
-        assert result.arrivals  # record_arrivals was mapped through
+        with pytest.raises(TypeError, match="positional argument"):
+            plan.execute(True)
+        assert plan.execute(record_arrivals=True).arrivals
 
     def test_keyword_calls_do_not_warn(self):
         with warnings.catch_warnings():
@@ -53,29 +52,23 @@ class TestKeywordOnlyShims:
 
     def test_too_many_positionals_rejected(self):
         g = topologies.path_graph(4)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError):
-                gossip(g, "simple", None, "extra")
+        with pytest.raises(TypeError):
+            gossip(g, "simple", None, "extra")
 
     def test_gossip_typeerror_reports_exact_argument_count(self):
-        """Regression: the shim double-counted the graph, reporting
-        '5 given' for a 4-positional call."""
+        """Python's own signature error counts the graph too."""
         g = topologies.path_graph(4)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(
-                TypeError,
-                match=r"takes at most 3 positional arguments \(4 given\)",
-            ):
-                gossip(g, "simple", None, "extra")
+        with pytest.raises(
+            TypeError, match=r"takes 1 positional argument but 4 were given"
+        ):
+            gossip(g, "simple", None, "extra")
 
     def test_gossip_on_tree_typeerror_reports_exact_argument_count(self):
         tree = gossip(topologies.star_graph(4)).tree
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(
-                TypeError,
-                match=r"takes at most 2 positional arguments \(3 given\)",
-            ):
-                gossip_on_tree(tree, "simple", "extra")
+        with pytest.raises(
+            TypeError, match=r"takes 1 positional argument but 3 were given"
+        ):
+            gossip_on_tree(tree, "simple", "extra")
 
 
 class TestNetworkDispatch:
@@ -171,12 +164,6 @@ class TestEagerRegistry:
             [sys.executable, "-c", code], capture_output=True, text=True
         )
         assert proc.returncode == 0, proc.stderr
-
-    def test_populate_registry_shim_warns(self):
-        from repro.core.gossip import _populate_registry
-
-        with pytest.warns(DeprecationWarning):
-            _populate_registry()
 
 
 class TestMemoisedExecution:

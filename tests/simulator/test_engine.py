@@ -69,6 +69,25 @@ class TestModelEnforcement:
         with pytest.raises(ModelViolationError, match="not an adjacent"):
             execute_schedule(g, sched([tx(0, 0, {2})]))
 
+    @pytest.mark.parametrize(
+        "form, message",
+        # The array form rejects negative ids at construction.
+        [("objects", -1), ("objects", 64), ("objects", 200), ("arrays", 64), ("arrays", 200)],
+    )
+    def test_out_of_range_message_never_held(self, form, message):
+        """Message ids outside [0, n_messages) are not-held violations on
+        every input form (they used to surface as a bare ValueError or
+        IndexError, or message -1 as message 63)."""
+        g = topologies.path_graph(64)
+        s = sched([tx(63, message, {62})])
+        if form == "arrays":
+            s = Schedule.from_arrays(s.arrays(n=64))
+        with pytest.raises(
+            ModelViolationError,
+            match=rf"at time 0 processor 63 sends message {message} it does not hold",
+        ):
+            execute_schedule(g, s)
+
     def test_multicast_to_neighbors_ok(self):
         g = topologies.star_graph(4)
         result = execute_schedule(g, sched([tx(0, 0, {1, 2, 3})]))

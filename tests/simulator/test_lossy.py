@@ -1,5 +1,6 @@
 """Unit tests for the lossy execution engine (`repro.simulator.lossy`)."""
 
+import numpy as np
 import pytest
 
 from repro.core.gossip import gossip
@@ -66,6 +67,21 @@ class TestFaultModel:
         draws_a = [a.drops_delivery(t, 0, 1) for t in range(64)]
         assert draws_a == [b.drops_delivery(t, 0, 1) for t in range(64)]
         assert draws_a != [c.drops_delivery(t, 0, 1) for t in range(64)]
+
+    def test_vectorised_drop_matches_scalar(self):
+        """The drop draw over delivery columns is the scalar draw, bit for
+        bit, at every coordinate."""
+        rng = np.random.default_rng(0)
+        for seed in (0, 1, 7, 2**63 + 5):
+            model = FaultModel(seed=seed, drop_rate=0.37)
+            t, s, d = rng.integers(0, 5000, size=(3, 2000))
+            vectorised = model.drops_deliveries(t, s, d)
+            scalar = [
+                model.drops_delivery(a, b, c)
+                for a, b, c in zip(t.tolist(), s.tolist(), d.tolist())
+            ]
+            assert vectorised.tolist() == scalar
+            assert 0.3 < vectorised.mean() < 0.45
 
     def test_drop_rate_extremes(self):
         never = FaultModel(seed=5, drop_rate=0.0)
@@ -173,13 +189,13 @@ class TestDrawMemoisation:
         from repro.simulator import lossy
 
         counts = {}
-        real = lossy._uniform
+        real = lossy.keyed_uniform
 
         def counting(seed, tag, *coords):
             counts[tag] = counts.get(tag, 0) + 1
             return real(seed, tag, *coords)
 
-        monkeypatch.setattr(lossy, "_uniform", counting)
+        monkeypatch.setattr(lossy, "keyed_uniform", counting)
         return counts
 
     def test_crash_window_starts_drawn_once(self, monkeypatch):
@@ -230,6 +246,19 @@ class TestLossAccounting:
         result = execute_with_faults(g, s, model)
         assert [sup.reason for sup in result.suppressed] == ["not-held"]
         assert result.suppressed[0].sender == 1
+
+    @pytest.mark.parametrize("message", [-1, 64, 200])
+    def test_out_of_range_message_is_a_possession_gap(self, message):
+        """A message id no processor can hold suppresses the send (it used
+        to crash with a bare ValueError)."""
+        g = topologies.path_graph(64)
+        result = execute_with_faults(
+            g, sched([tx(63, message, {62})]), FaultModel(seed=0)
+        )
+        assert [(sup.sender, sup.message, sup.reason) for sup in result.suppressed] == [
+            (63, message, "not-held")
+        ]
+        assert result.final_holds[62] == 1 << 62
 
     def test_adjacency_violation_still_raises(self):
         g = topologies.path_graph(3)  # 0-1-2; 0 and 2 not adjacent

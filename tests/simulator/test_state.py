@@ -77,17 +77,6 @@ class TestHoldState:
         s.deliver(0, 2, 2)
         assert s.is_complete(0)
 
-    def test_arrival_tracking(self):
-        s = HoldState(2, track_arrivals=True)
-        s.deliver(0, 1, time=4)
-        assert s.arrival_time(0, 1) == 4
-        assert s.arrival_time(0, 0) == 0
-        assert s.arrival_time(1, 0) is None
-
-    def test_arrival_tracking_disabled(self):
-        with pytest.raises(SimulationError):
-            HoldState(2).arrival_time(0, 0)
-
     def test_snapshot_is_copy(self):
         s = HoldState(2)
         snap = s.snapshot()
